@@ -21,6 +21,8 @@ from typing import Any, Sequence
 from . import density, oracles, powersums, randomsets, structure
 from .errors import ResourceLimitError, UndefinedFitError, WidthOverflowError
 
+#: Built-in defaults per subcommand; build_parser also makes each entry a
+#: --<key> flag, so a new option needs only a new entry here.
 DEFAULTS: dict[str, dict[str, Any]] = {
     "profile": {"k": 2, "h": 2, "lo": 1, "hi": 10000, "set": None, "outdir": "."},
     "sample": {
@@ -142,12 +144,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]],
         writer.writerow(header)
         writer.writerows(rows)
     written.append(path)
-
-
-def _load_set(config: dict[str, Any]) -> powersums.PowerSet:
-    if config.get("set"):
-        return powersums.read_power_set(config["set"])
-    raise CommandError("no set file given")
 
 
 def _load_set_or_full(config: dict[str, Any], x_max: int) -> powersums.PowerSet:
@@ -478,11 +474,7 @@ def _cmd_oracle(config: dict[str, Any], outdir: Path, written: list[Path]) -> tu
             )
         else:
             report = oracles.divisor_bound_scan(config["k"], config["max"])
-            rows = [
-                (n, check.weak_count, check.divisor_count)
-                for n, check in _divisor_rows(config["k"], config["max"])
-            ]
-            _write_csv(outdir / "oracle.csv", ("n", "weak_count", "divisor_count"), rows, written)
+            _write_csv(outdir / "oracle.csv", ("n", "weak_count", "divisor_count"), report.rows, written)
             result.update(
                 {
                     "represented": report.represented,
@@ -515,21 +507,6 @@ def _cmd_oracle(config: dict[str, Any], outdir: Path, written: list[Path]) -> tu
         written,
     )
     return 0, summary
-
-
-def _divisor_rows(k: int, n_max: int):
-    """Rows (n, per-n check) for every represented n, for the CSV artifact."""
-    pair_sums: dict[int, int] = {}
-    a = 1
-    while 2 * a**k <= n_max:
-        va = a**k
-        b = a
-        while va + b**k <= n_max:
-            pair_sums[va + b**k] = pair_sums.get(va + b**k, 0) + 1
-            b += 1
-        a += 1
-    for n in sorted(pair_sums):
-        yield n, oracles.divisor_bound_check(k, n)
 
 
 def _cmd_greedy(config: dict[str, Any], outdir: Path, written: list[Path]) -> tuple[int, str]:
@@ -577,133 +554,82 @@ _COMMANDS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file with per-command sections")
-    sub.add_argument("--outdir", help="directory for artifacts (default .)")
+#: Help strings: (command, None) for a subcommand, (command, key) for one of
+#: its options, (None, key) for an option every command shares.
+_HELP: dict[tuple[str | None, str | None], str] = {
+    ("profile", None): "strict/weak representation counts over a range",
+    ("profile", "set"): "power-set file instead of the full domain",
+    ("sample", None): "draw a seeded random power set",
+    ("expect", None): "exact expectations and decay fits",
+    ("expect", "x"): "report E[A(x)] (default mode)",
+    ("expect", "n"): "report E[R(n)] with --l parts instead",
+    ("expect", "decay"): "fit E[R(n)] decay over a grid",
+    ("pack", None): "maximum disjoint representation family",
+    ("sunflower", None): "find a Delta-system in a set collection",
+    ("sunflower", "sets"): "file with one set per line",
+    ("sunflower", "n"): "build the collection from representations of n",
+    ("verify", None): "B_h[g] verification scan",
+    ("scan", None): "windowed boundedness scan",
+    ("density", None): "counting function and exponent fit",
+    ("concentrate", None): "concentration trials for A(x)",
+    ("oracle", None): "classical counting oracles",
+    ("oracle", "n"): "single-target divisor check",
+    ("greedy", None): "greedy bounded-representation subset",
+    (None, "outdir"): "directory for artifacts (default .)",
+}
+
+#: The oracle takes its mode as one of these mutually exclusive flags.
+_ORACLE_MODES = ("taxicab", "two-squares", "divisor", "hypothesis-k")
+
+
+def _option_kwargs(defaults: dict[str, Any], key: str) -> dict[str, Any]:
+    """argparse keywords for one DEFAULTS entry.  Every flag defaults to
+    None so that an absent flag falls through to the config file."""
+    default = defaults[key]
+    if isinstance(default, bool):
+        return {"action": "store_const", "const": True}
+    kwargs: dict[str, Any] = {}
+    # n is the one integer without a default; the other None defaults are
+    # file paths, which stay strings
+    if key == "n":
+        kwargs["type"] = int
+    elif isinstance(default, (int, float)):
+        kwargs["type"] = type(default)
+    if key == "model":
+        # only the commands that read --table-file can build table models
+        kwargs["choices"] = (
+            randomsets.KINDS
+            if "table_file" in defaults
+            else (randomsets.DENSITY_K, randomsets.DENSITY_H)
+        )
+    elif key == "mode":  # pack's; the oracle's mode is a group of flags
+        kwargs["choices"] = ("exact", "greedy")
+    return kwargs
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per DEFAULTS section and one --<key> flag per entry."""
     parser = argparse.ArgumentParser(
         prog="powersidon",
         description="Experiments on generalized Sidon sets of perfect powers.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("profile", help="strict/weak representation counts over a range")
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--lo", type=int)
-    p.add_argument("--hi", type=int)
-    p.add_argument("--set", help="power-set file instead of the full domain")
-    _add_common(p)
-
-    p = subs.add_parser("sample", help="draw a seeded random power set")
-    p.add_argument("--model", choices=[randomsets.DENSITY_K, randomsets.DENSITY_H, randomsets.TABLE])
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--xmax", type=int)
-    p.add_argument("--table-file", dest="table_file")
-    _add_common(p)
-
-    p = subs.add_parser("expect", help="exact expectations and decay fits")
-    p.add_argument("--model", choices=[randomsets.DENSITY_K, randomsets.DENSITY_H, randomsets.TABLE])
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--table-file", dest="table_file")
-    p.add_argument("--x", type=int, help="report E[A(x)] (default mode)")
-    p.add_argument("--n", type=int, help="report E[R(n)] with --l parts instead")
-    p.add_argument("--l", type=int)
-    p.add_argument("--decay", action="store_const", const=True, help="fit E[R(n)] decay over a grid")
-    p.add_argument("--lo", type=int)
-    p.add_argument("--hi", type=int)
-    p.add_argument("--points-per-decade", dest="points_per_decade", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("pack", help="maximum disjoint representation family")
-    p.add_argument("--set")
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--mode", choices=["exact", "greedy"])
-    p.add_argument("--cap", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("sunflower", help="find a Delta-system in a set collection")
-    p.add_argument("--sets", help="file with one set per line")
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--n", type=int, help="build the collection from representations of n")
-    p.add_argument("--l", type=int)
-    p.add_argument("--r", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("verify", help="B_h[g] verification scan")
-    p.add_argument("--set")
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--nmax", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("scan", help="windowed boundedness scan")
-    p.add_argument("--set")
-    p.add_argument("--model", choices=[randomsets.DENSITY_K, randomsets.DENSITY_H])
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--windows", type=int)
-    p.add_argument("--jobs", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("density", help="counting function and exponent fit")
-    p.add_argument("--set")
-    p.add_argument("--model", choices=[randomsets.DENSITY_K, randomsets.DENSITY_H])
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lo", type=int)
-    p.add_argument("--hi", type=int)
-    p.add_argument("--points-per-decade", dest="points_per_decade", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("concentrate", help="concentration trials for A(x)")
-    p.add_argument("--model", choices=[randomsets.DENSITY_K, randomsets.DENSITY_H])
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--x", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed-base", dest="seed_base", type=int)
-    p.add_argument("--jobs", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("oracle", help="classical counting oracles")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--taxicab", dest="mode", action="store_const", const="taxicab")
-    group.add_argument("--two-squares", dest="mode", action="store_const", const="two-squares")
-    group.add_argument("--divisor", dest="mode", action="store_const", const="divisor")
-    group.add_argument("--hypothesis-k", dest="mode", action="store_const", const="hypothesis-k")
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--max", type=int)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--n", type=int, help="single-target divisor check")
-    _add_common(p)
-
-    p = subs.add_parser("greedy", help="greedy bounded-representation subset")
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--xmax", type=int)
-    _add_common(p)
-
+    for command, defaults in DEFAULTS.items():
+        p = subs.add_parser(command, help=_HELP[command, None])
+        for key in defaults:
+            if command == "oracle" and key == "mode":
+                group = p.add_mutually_exclusive_group()
+                for mode in _ORACLE_MODES:
+                    group.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode)
+                continue
+            flags = ["-k", "--k"] if key == "k" else [f"--{key.replace('_', '-')}"]
+            p.add_argument(
+                *flags,
+                dest=key,
+                help=_HELP.get((command, key)) or _HELP.get((None, key)),
+                **_option_kwargs(defaults, key),
+            )
+        p.add_argument("--config", help="JSON config file with per-command sections")
     return parser
 
 

@@ -105,7 +105,11 @@ def divisor_bound_check(k: int, n: int) -> DivisorBoundResult:
 
 @dataclass(frozen=True)
 class DivisorScanReport:
-    """Exhaustive divisor-bound check over all n <= n_max for odd k."""
+    """Exhaustive divisor-bound check over all n <= n_max for odd k.
+
+    rows holds (n, weak_count, divisor_count) for every represented n,
+    ascending; each row agrees with divisor_bound_check(k, n).
+    """
 
     k: int
     n_max: int
@@ -113,6 +117,7 @@ class DivisorScanReport:
     max_weak: int
     bound_violations: tuple[int, ...]
     uniqueness_violations: tuple[int, ...]
+    rows: tuple[tuple[int, int, int], ...]
 
     @property
     def ok(self) -> bool:
@@ -121,7 +126,8 @@ class DivisorScanReport:
 
 def divisor_bound_scan(k: int, n_max: int) -> DivisorScanReport:
     """Sweep all root pairs once and check every represented n <= n_max
-    against its divisor count and the one-representation-per-(a+b) rule."""
+    against its divisor count and the one-representation-per-(a+b) rule,
+    keeping one row per represented n."""
     if not isinstance(k, int) or k < 3 or k % 2 == 0:
         raise ValueError(f"k must be an odd integer >= 3, got {k!r}")
     if n_max < 2:
@@ -137,11 +143,14 @@ def divisor_bound_scan(k: int, n_max: int) -> DivisorScanReport:
         a += 1
     bound_violations = []
     uniqueness_violations = []
+    rows = []
     max_weak = 0
     for n in sorted(pair_sums):
         keys = pair_sums[n]
+        d = divisor_count(n)
+        rows.append((n, len(keys), d))
         max_weak = max(max_weak, len(keys))
-        if len(keys) > divisor_count(n):
+        if len(keys) > d:
             bound_violations.append(n)
         if len(set(keys)) != len(keys):
             uniqueness_violations.append(n)
@@ -152,6 +161,7 @@ def divisor_bound_scan(k: int, n_max: int) -> DivisorScanReport:
         max_weak=max_weak,
         bound_violations=tuple(bound_violations),
         uniqueness_violations=tuple(uniqueness_violations),
+        rows=tuple(rows),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from math import isqrt
+from math import comb, isqrt, prod
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
@@ -157,13 +157,6 @@ def _roots_from(domain: Domain, r_min: int) -> Iterator[int]:
     return iter(domain.roots[bisect_left(domain.roots, r_min):])
 
 
-def _is_domain_value(domain: Domain, v: int) -> bool:
-    r = integer_kth_root(v, domain.k)
-    if r < 1 or r ** domain.k != v:
-        return False
-    return isinstance(domain, FullPowers) or domain.has_value(v)
-
-
 def _domain_label(domain: Domain) -> str:
     if isinstance(domain, FullPowers):
         return f"full(k={domain.k})"
@@ -216,16 +209,17 @@ def _validate_target(n: int, h: int, ordering: str) -> None:
         raise ValueError(f"unknown ordering {ordering!r}")
 
 
+def _min_tail(r: int, t: int, k: int, strict: bool) -> int:
+    """Least possible sum of t further parts after a part with root r."""
+    if strict:
+        return sum((r + j) ** k for j in range(1, t + 1))
+    return t * r**k
+
+
 def _iter_parts(n: int, h: int, domain: Domain, ordering: Ordering) -> Iterator[tuple[int, ...]]:
     """Yield part tuples of every representation, lexicographically ascending."""
     k = domain.k
     strict = ordering == "strict"
-
-    def min_tail(r: int, t: int) -> int:
-        # least possible sum of t further parts after a part with root r
-        if strict:
-            return sum((r + j) ** k for j in range(1, t + 1))
-        return t * r**k
 
     def rec(prefix: tuple[int, ...], rem: int, slots: int, lo: int):
         if slots == 1:
@@ -235,7 +229,7 @@ def _iter_parts(n: int, h: int, domain: Domain, ordering: Ordering) -> Iterator[
             return
         for r in _roots_from(domain, lo):
             v = r**k
-            if v + min_tail(r, slots - 1) > rem:
+            if v + _min_tail(r, slots - 1, k, strict) > rem:
                 break
             yield from rec(prefix + (r,), rem - v, slots - 1, r + 1 if strict else r)
 
@@ -262,18 +256,13 @@ def _iter_bounded(
     k = domain.k
     strict = ordering == "strict"
 
-    def min_tail(r: int, t: int) -> int:
-        if strict:
-            return sum((r + j) ** k for j in range(1, t + 1))
-        return t * r**k
-
     def rec(prefix: tuple[int, ...], total: int, slots: int, lo: int):
         if slots == 0:
             yield prefix, total
             return
         for r in _roots_from(domain, lo):
             v = r**k
-            if total + v + min_tail(r, slots - 1) > budget:
+            if total + v + _min_tail(r, slots - 1, k, strict) > budget:
                 break
             yield from rec(prefix + (r,), total + v, slots - 1, r + 1 if strict else r)
 
@@ -398,13 +387,21 @@ def representation_profile(
             f"profile up to {n_hi} needs {need} bytes of sum tables "
             f"(budget {memory_budget}); split the range, e.g. at {n_hi // 2}"
         )
+    roots = _roots_upto(domain, n_hi)
+    # every table cell counts multisets of at most h roots, so this bounds them all
+    most = comb(len(roots) + h - 1, h)
+    if most > MAX_VALUE:
+        raise WidthOverflowError(
+            f"counts with {h} parts from {len(roots)} roots can reach {most}, beyond the "
+            f"64-bit value range; use fewer parts or a smaller range"
+        )
     size = n_hi + 1
     strict_tab = np.zeros((h + 1, size), dtype=np.uint64)
     weak_tab = np.zeros((h + 1, size), dtype=np.uint64)
     strict_tab[0, 0] = 1
     weak_tab[0, 0] = 1
     k = domain.k
-    for r in _roots_upto(domain, n_hi):
+    for r in roots:
         v = r**k
         # strict: each root used at most once, so read the pre-update row
         for t in range(h, 0, -1):
@@ -430,11 +427,19 @@ def _box_counts(
         raise ResourceLimitError(
             f"box table up to {n_max} needs {(n_max + 1) * 8} bytes (budget {memory_budget})"
         )
+    root_max = integer_kth_root(n_max, k)
+    # every table cell counts tuples from a prefix of the box, so this bounds them all
+    most = prod(min(bound, root_max) for bound in bounds)
+    if most > MAX_VALUE:
+        raise WidthOverflowError(
+            f"box counts up to {n_max} can reach {most}, beyond the 64-bit value range; "
+            f"use fewer coordinates, smaller bounds or a smaller target"
+        )
     cur = np.zeros(n_max + 1, dtype=np.uint64)
     cur[0] = 1
     for bound in bounds:
         nxt = np.zeros_like(cur)
-        r_max = min(bound, integer_kth_root(n_max, k))
+        r_max = min(bound, root_max)
         for y in range(1, r_max + 1):
             v = y**k
             nxt[v:] += cur[: n_max + 1 - v]

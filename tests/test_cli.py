@@ -1,5 +1,6 @@
 """CLI harness: artifacts, config resolution, errors, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from powersidon import PowerSet, write_power_set
-from powersidon.cli import main
+from powersidon.cli import build_parser, main
 
 
 def run_cli(args):
@@ -260,3 +261,138 @@ def test_all_defaults_complete(tmp_path, command):
     out = tmp_path / command
     assert run_cli([command, "--outdir", str(out)]) == 0
     assert (out / f"{command}.json").exists() or list(out.iterdir())
+
+
+_KINDS = ("density-k", "density-h", "table")
+_DENSITIES = ("density-k", "density-h")
+
+#: Every subcommand's options as (option strings, dest, type, choices, const),
+#: besides --config, --outdir and --help, which every subcommand has.
+PARSER_SURFACE = {
+    "profile": [
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--lo",), "lo", "int", None, None),
+        (("--hi",), "hi", "int", None, None),
+        (("--set",), "set", None, None, None),
+    ],
+    "sample": [
+        (("--model",), "model", None, _KINDS, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--epsilon",), "epsilon", "float", None, None),
+        (("--seed",), "seed", "int", None, None),
+        (("--xmax",), "xmax", "int", None, None),
+        (("--table-file",), "table_file", None, None, None),
+    ],
+    "expect": [
+        (("--model",), "model", None, _KINDS, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--epsilon",), "epsilon", "float", None, None),
+        (("--seed",), "seed", "int", None, None),
+        (("--table-file",), "table_file", None, None, None),
+        (("--x",), "x", "int", None, None),
+        (("--n",), "n", "int", None, None),
+        (("--l",), "l", "int", None, None),
+        (("--decay",), "decay", None, None, True),
+        (("--lo",), "lo", "int", None, None),
+        (("--hi",), "hi", "int", None, None),
+        (("--points-per-decade",), "points_per_decade", "int", None, None),
+    ],
+    "pack": [
+        (("--set",), "set", None, None, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--n",), "n", "int", None, None),
+        (("--l",), "l", "int", None, None),
+        (("--mode",), "mode", None, ("exact", "greedy"), None),
+        (("--cap",), "cap", "int", None, None),
+    ],
+    "sunflower": [
+        (("--sets",), "sets", None, None, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--n",), "n", "int", None, None),
+        (("--l",), "l", "int", None, None),
+        (("--r",), "r", "int", None, None),
+    ],
+    "verify": [
+        (("--set",), "set", None, None, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--g",), "g", "int", None, None),
+        (("--nmax",), "nmax", "int", None, None),
+    ],
+    "scan": [
+        (("--set",), "set", None, None, None),
+        (("--model",), "model", None, _DENSITIES, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--epsilon",), "epsilon", "float", None, None),
+        (("--seed",), "seed", "int", None, None),
+        (("--nmax",), "nmax", "int", None, None),
+        (("--windows",), "windows", "int", None, None),
+        (("--jobs",), "jobs", "int", None, None),
+    ],
+    "density": [
+        (("--set",), "set", None, None, None),
+        (("--model",), "model", None, _DENSITIES, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--epsilon",), "epsilon", "float", None, None),
+        (("--seed",), "seed", "int", None, None),
+        (("--lo",), "lo", "int", None, None),
+        (("--hi",), "hi", "int", None, None),
+        (("--points-per-decade",), "points_per_decade", "int", None, None),
+    ],
+    "concentrate": [
+        (("--model",), "model", None, _DENSITIES, None),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--epsilon",), "epsilon", "float", None, None),
+        (("--x",), "x", "int", None, None),
+        (("--trials",), "trials", "int", None, None),
+        (("--seed-base",), "seed_base", "int", None, None),
+        (("--jobs",), "jobs", "int", None, None),
+    ],
+    "oracle": [
+        (("--taxicab",), "mode", None, None, "taxicab"),
+        (("--two-squares",), "mode", None, None, "two-squares"),
+        (("--divisor",), "mode", None, None, "divisor"),
+        (("--hypothesis-k",), "mode", None, None, "hypothesis-k"),
+        (("-k", "--k"), "k", "int", None, None),
+        (("--max",), "max", "int", None, None),
+        (("--threshold",), "threshold", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--eta",), "eta", "float", None, None),
+        (("--n",), "n", "int", None, None),
+    ],
+    "greedy": [
+        (("-k", "--k"), "k", "int", None, None),
+        (("--h",), "h", "int", None, None),
+        (("--g",), "g", "int", None, None),
+        (("--xmax",), "xmax", "int", None, None),
+    ],
+}
+
+
+def test_parser_surface():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(PARSER_SURFACE)
+    common = [(("--config",), "config", None, None, None), (("--outdir",), "outdir", None, None, None)]
+    for command, expected in PARSER_SURFACE.items():
+        actions = [a for a in subs.choices[command]._actions if a.dest != "help"]
+        got = {
+            tuple(a.option_strings): (
+                a.dest,
+                getattr(a.type, "__name__", None),
+                None if a.choices is None else tuple(a.choices),
+                a.const,
+            )
+            for a in actions
+        }
+        assert got == {opts: tuple(rest) for opts, *rest in expected + common}, command
+        # an absent flag must fall through to the config file and DEFAULTS
+        assert all(a.default is None for a in actions), command
+    with pytest.raises(SystemExit):
+        parser.parse_args(["oracle", "--taxicab", "--divisor"])

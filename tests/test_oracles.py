@@ -94,9 +94,14 @@ def test_divisor_scan_clean_for_odd_powers():
 def test_divisor_scan_agrees_with_per_n_checks():
     report = divisor_bound_scan(3, 3000)
     assert report.ok
+    checked = []
     for n in range(2, 3001):
         res = divisor_bound_check(3, n)
         assert res.ok and res.per_divisor_unique
+        if res.weak_count:
+            checked.append((n, res.weak_count, res.divisor_count))
+    assert report.rows == tuple(checked)
+    assert report.represented == len(report.rows)
 
 
 def test_divisor_validation():

@@ -299,6 +299,18 @@ def test_width_overflow_errors():
     PowerSet([2**33], 2, max_value=2**70)
 
 
+def test_profile_refuses_counts_beyond_64_bits():
+    # up to C(3011, 12) ~ 1e33 multisets of 12 roots: the uint64 tables would wrap
+    with pytest.raises(WidthOverflowError, match="fewer parts or a smaller range"):
+        representation_profile((3000, 3000), 12, FullPowers(1))
+
+
+def test_box_refuses_counts_beyond_64_bits():
+    # 256**10 = 2**80 tuples; the count at the middle sum is about 2**71
+    with pytest.raises(WidthOverflowError, match="smaller bounds"):
+        count_solutions_in_box(1285, 1, [256] * 10)
+
+
 def test_profile_memory_budget():
     with pytest.raises(ResourceLimitError, match="split the range"):
         representation_profile((1, 10**6), 2, SQ, memory_budget=10**6)
