@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import density, oracles, powersums, randomsets, structure
 from .errors import ResourceLimitError, UndefinedFitError, WidthOverflowError
@@ -120,6 +120,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
         unknown = set(section) - set(resolved)
         if unknown:
             raise CommandError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in section.items():
+            _check_config_value(command, key, value)
         resolved.update(section)
     for key in resolved:
         flag = getattr(args, key, None)
@@ -138,7 +140,7 @@ def _write_json(path: Path, payload: dict[str, Any], written: list[Path]) -> Non
     written.append(path)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]], written: list[Path]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]], written: list[Path]) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -185,7 +187,7 @@ def _cmd_profile(config: dict[str, Any], outdir: Path, written: list[Path]) -> t
     else:
         domain = powersums.FullPowers(config["k"])
     profile = powersums.representation_profile((config["lo"], config["hi"]), config["h"], domain)
-    _write_csv(outdir / "profile.csv", ("n", "strict", "weak"), list(profile.rows()), written)
+    _write_csv(outdir / "profile.csv", ("n", "strict", "weak"), profile.rows(), written)
     nonzero = int((profile.weak_counts > 0).sum())
     _write_json(
         outdir / "profile.json",
@@ -199,6 +201,7 @@ def _cmd_profile(config: dict[str, Any], outdir: Path, written: list[Path]) -> t
                 "max_strict": int(profile.strict_counts.max(initial=0)),
                 "max_weak": int(profile.weak_counts.max(initial=0)),
                 "weak_nonzero": nonzero,
+                "backend": profile.backend,
             },
         },
         written,
@@ -582,6 +585,28 @@ _HELP: dict[tuple[str | None, str | None], str] = {
 _ORACLE_MODES = ("taxicab", "two-squares", "divisor", "hypothesis-k")
 
 
+def _option_type(key: str, default: Any) -> type:
+    """The type a DEFAULTS entry takes, from a flag or a config file."""
+    # n is the one integer without a default; the other None defaults are
+    # file paths, which stay strings
+    if key == "n":
+        return int
+    return str if default is None else type(default)
+
+
+def _check_config_value(command: str, key: str, value: Any) -> None:
+    default = DEFAULTS[command][key]
+    if value is None and default is None:
+        return
+    want = _option_type(key, default)
+    accepted = (int, float) if want is float else want
+    # bool is an int subclass, but neither stands in for the other
+    if not isinstance(value, accepted) or isinstance(value, bool) != (want is bool):
+        raise CommandError(
+            f"config key {command}.{key} must be {want.__name__}, got {type(value).__name__} {value!r}"
+        )
+
+
 def _option_kwargs(defaults: dict[str, Any], key: str) -> dict[str, Any]:
     """argparse keywords for one DEFAULTS entry.  Every flag defaults to
     None so that an absent flag falls through to the config file."""
@@ -589,12 +614,9 @@ def _option_kwargs(defaults: dict[str, Any], key: str) -> dict[str, Any]:
     if isinstance(default, bool):
         return {"action": "store_const", "const": True}
     kwargs: dict[str, Any] = {}
-    # n is the one integer without a default; the other None defaults are
-    # file paths, which stay strings
-    if key == "n":
-        kwargs["type"] = int
-    elif isinstance(default, (int, float)):
-        kwargs["type"] = type(default)
+    want = _option_type(key, default)
+    if want is not str:
+        kwargs["type"] = want
     if key == "model":
         # only the commands that read --table-file can build table models
         kwargs["choices"] = (

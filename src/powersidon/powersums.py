@@ -5,8 +5,9 @@ The domain of parts is either every k-th power of a positive integer
 Representations come in two orderings: strict (parts strictly increasing,
 the classical R count) and weak (parts non-decreasing, the R* count that
 admits repeated parts).  Single targets use a pruned depth-first search or
-a meet-in-the-middle join for many parts; range sweeps build sum tables so
-a whole profile costs one pass instead of one search per target.
+a meet-in-the-middle join for many parts; range sweeps either enumerate the
+few part tuples under the range end or build sum tables, so a whole profile
+costs one pass instead of one search per target.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ MAX_VALUE = 2**64 - 1
 #: many parts on.
 MITM_MIN_PARTS = 4
 
-#: Sum-table sweeps refuse to allocate more than this many bytes.
+#: Range sweeps refuse to allocate more than this many bytes.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -323,9 +324,13 @@ def count_representations(
     raise ValueError(f"unknown counting method {method!r}")
 
 
+Backend = Literal["sparse", "dense"]
+
+
 @dataclass(eq=False)
 class RepCountProfile:
-    """Strict and weak representation counts for every n in [n_lo, n_hi]."""
+    """Strict and weak representation counts for every n in [n_lo, n_hi],
+    with the counting backend that produced them."""
 
     k: int
     h: int
@@ -334,6 +339,7 @@ class RepCountProfile:
     n_hi: int
     strict_counts: np.ndarray = field(repr=False)
     weak_counts: np.ndarray = field(repr=False)
+    backend: Backend
 
     def _index(self, n: int) -> int:
         if not self.n_lo <= n <= self.n_hi:
@@ -358,8 +364,84 @@ class RepCountProfile:
         return self.weak_counts[self._index(lo) : self._index(hi) + 1]
 
     def rows(self) -> Iterator[tuple[int, int, int]]:
-        for i, n in enumerate(range(self.n_lo, self.n_hi + 1)):
-            yield n, int(self.strict_counts[i]), int(self.weak_counts[i])
+        return zip(
+            range(self.n_lo, self.n_hi + 1), self.strict_counts.tolist(), self.weak_counts.tolist()
+        )
+
+
+#: Bytes the sparse backend holds per enumerated tuple: partial sums, part
+#: indices, flags and the temporaries of one level (at most 35 measured).
+_SPARSE_TUPLE_BYTES = 48
+
+
+def _choose_backend(root_count: int, h: int, n_lo: int, n_hi: int, memory_budget: int) -> tuple[Backend, int]:
+    """The counting backend for a profile and the bytes it will allocate.
+
+    C(roots + h - 1, h) bounds the number of h-tuples the sparse backend
+    enumerates; h * roots * (n_hi + 1) is the dense DP's work.  Sparse wins
+    when it does no more work and its arrays fit the budget.
+    """
+    tuples = comb(root_count + h - 1, h)
+    counts_bytes = 2 * 8 * (n_hi - n_lo + 1)  # the two uint64 count arrays returned
+    sparse_bytes = tuples * _SPARSE_TUPLE_BYTES + counts_bytes
+    if tuples <= h * root_count * (n_hi + 1) and sparse_bytes <= memory_budget:
+        return "sparse", sparse_bytes
+    return "dense", 2 * (h + 1) * (n_hi + 1) * 8 + counts_bytes
+
+
+def _sparse_counts(values: Sequence[int], h: int, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict and weak counts on [n_lo, n_hi] by enumerating every
+    non-decreasing h-tuple of part indices whose sum is at most n_hi.
+
+    Tuples grow one part per level; a part j may follow only if
+    sum + left * values[j] <= n_hi, where left counts it and the parts still
+    to come, so every kept prefix completes to at least one tuple.  A tuple
+    is strict when no part repeats the one before it.
+    """
+    vals = np.array(values, dtype=np.uint64)
+    sums = np.zeros(1, dtype=np.uint64)
+    prev = np.full(1, -1, dtype=np.int64)  # index of the last part, -1 before the first
+    distinct = np.ones(1, dtype=bool)
+    for left in range(h, 0, -1):
+        start = np.maximum(prev, 0)
+        stop = np.searchsorted(vals, (n_hi - sums) // left, side="right")
+        width = np.maximum(stop - start, 0)
+        first = np.cumsum(width) - width  # where each prefix's run of parts begins
+        j = np.arange(int(width.sum())) - np.repeat(first - start, width)
+        distinct = np.repeat(distinct, width)
+        # only the first part of a run can repeat the previous part
+        distinct[first[(width > 0) & (prev == start)]] = False
+        sums = np.repeat(sums, width)
+        sums += vals[j]
+        prev = j
+    size = n_hi - n_lo + 1
+    sums -= np.uint64(n_lo)  # sums below n_lo wrap past size and drop out
+    keep = sums < size
+    offsets = sums[keep].view(np.intp)
+    weak = np.bincount(offsets, minlength=size)
+    strict = np.bincount(offsets[distinct[keep]], minlength=size)
+    return strict.view(np.uint64), weak.view(np.uint64)
+
+
+def _dense_counts(values: Sequence[int], h: int, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict and weak counts on [n_lo, n_hi] from one sum-table DP over
+    [0, n_hi]: row t of each table counts sums of t parts."""
+    size = n_hi + 1
+    strict_tab = np.zeros((h + 1, size), dtype=np.uint64)
+    weak_tab = np.zeros((h + 1, size), dtype=np.uint64)
+    strict_tab[0, 0] = 1
+    weak_tab[0, 0] = 1
+    for v in values:
+        # strict: each root used at most once, so read the pre-update row
+        for t in range(h, 0, -1):
+            strict_tab[t, v:] += strict_tab[t - 1, : size - v]
+        # weak: ascending t reads the already-updated row, allowing repeats
+        for t in range(1, h + 1):
+            weak_tab[t, v:] += weak_tab[t - 1, : size - v]
+    return strict_tab[h, n_lo:].copy(), weak_tab[h, n_lo:].copy()
+
+
+_BACKENDS = {"sparse": _sparse_counts, "dense": _dense_counts}
 
 
 def representation_profile(
@@ -369,11 +451,15 @@ def representation_profile(
     *,
     memory_budget: int = MEMORY_BUDGET,
 ) -> RepCountProfile:
-    """Both counts for every n in the range, via one sum-table sweep.
+    """Both counts for every n in the range, in one pass over the domain.
 
-    Equal to pointwise count_representations but computed in a single DP
-    pass over the domain roots.  The tables span [0, n_hi] regardless of
-    n_lo, so the budget is driven by the upper end of the range.
+    Equal to pointwise count_representations.  Two backends give the same
+    counts: the sparse one enumerates the h-tuples of roots with sum at most
+    n_hi and bins their sums; the dense one runs a sum-table DP over
+    [0, n_hi].  The sparse backend runs when its tuple bound
+    C(roots + h - 1, h) is at most the DP's h * roots * (n_hi + 1) cell
+    updates and its arrays fit ``memory_budget``; otherwise the dense one
+    does, and its tables, driven by the upper end of the range, must fit.
     """
     n_lo, n_hi = n_range
     if not (isinstance(n_lo, int) and isinstance(n_hi, int) and 1 <= n_lo <= n_hi):
@@ -381,42 +467,31 @@ def representation_profile(
     _check_value(n_hi, "range end")
     if not isinstance(h, int) or h < 2:
         raise ValueError(f"part count must be an integer >= 2, got {h!r}")
-    need = 2 * (h + 1) * (n_hi + 1) * 8
-    if need > memory_budget:
-        raise ResourceLimitError(
-            f"profile up to {n_hi} needs {need} bytes of sum tables "
-            f"(budget {memory_budget}); split the range, e.g. at {n_hi // 2}"
-        )
     roots = _roots_upto(domain, n_hi)
-    # every table cell counts multisets of at most h roots, so this bounds them all
+    # every count is of multisets of at most h roots, so this bounds them all
     most = comb(len(roots) + h - 1, h)
     if most > MAX_VALUE:
         raise WidthOverflowError(
             f"counts with {h} parts from {len(roots)} roots can reach {most}, beyond the "
             f"64-bit value range; use fewer parts or a smaller range"
         )
-    size = n_hi + 1
-    strict_tab = np.zeros((h + 1, size), dtype=np.uint64)
-    weak_tab = np.zeros((h + 1, size), dtype=np.uint64)
-    strict_tab[0, 0] = 1
-    weak_tab[0, 0] = 1
+    backend, need = _choose_backend(len(roots), h, n_lo, n_hi, memory_budget)
+    if need > memory_budget:
+        raise ResourceLimitError(
+            f"profile up to {n_hi} needs {need} bytes of sum tables "
+            f"(budget {memory_budget}); split the range, e.g. at {n_hi // 2}"
+        )
     k = domain.k
-    for r in roots:
-        v = r**k
-        # strict: each root used at most once, so read the pre-update row
-        for t in range(h, 0, -1):
-            strict_tab[t, v:] += strict_tab[t - 1, : size - v]
-        # weak: ascending t reads the already-updated row, allowing repeats
-        for t in range(1, h + 1):
-            weak_tab[t, v:] += weak_tab[t - 1, : size - v]
+    strict, weak = _BACKENDS[backend]([r**k for r in roots], h, n_lo, n_hi)
     return RepCountProfile(
         k=k,
         h=h,
         domain=_domain_label(domain),
         n_lo=n_lo,
         n_hi=n_hi,
-        strict_counts=strict_tab[h, n_lo : n_hi + 1].copy(),
-        weak_counts=weak_tab[h, n_lo : n_hi + 1].copy(),
+        strict_counts=strict,
+        weak_counts=weak,
+        backend=backend,
     )
 
 

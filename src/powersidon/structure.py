@@ -5,7 +5,6 @@ bounded-representation subsets."""
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,8 @@ from .powersums import (
 #: Exact packing falls back to greedy above this many representations.
 PACKING_CAP = 64
 
-#: A "no sunflower" answer is re-verified exhaustively up to this many sets.
+#: The tests check find_delta_system against brute force over every r-subset
+#: of collections up to this many sets.
 SUNFLOWER_EXHAUSTIVE_LIMIT = 20
 
 
@@ -167,8 +167,11 @@ def _sunflower_search(sets: list[frozenset[int]], r: int) -> tuple[frozenset[int
     """Recursive search: either r pairwise-disjoint sets (empty core) or a
     common element joined to a sunflower of the reduced family.
 
-    Every sunflower has an empty core or some element in its core, so the
-    two branches together are exhaustive.
+    Exhaustive: a sunflower with empty core is r pairwise-disjoint sets,
+    which the exact disjoint-family search finds; one with an element x in
+    its core has r petals containing x, and removing x from them leaves a
+    sunflower of the family reduced at x, which the recursion searches
+    (every x in at least r sets is tried).
     """
     disjoint = _find_disjoint_family(sets, r)
     if disjoint is not None:
@@ -186,29 +189,12 @@ def _sunflower_search(sets: list[frozenset[int]], r: int) -> tuple[frozenset[int
     return None
 
 
-def _sunflower_exhaustive(sets: list[frozenset[int]], r: int) -> tuple[frozenset[int], list[int]] | None:
-    from itertools import combinations
-
-    for combo in combinations(range(len(sets)), r):
-        core = sets[combo[0]] & sets[combo[1]]
-        if is_delta_system(core, [sets[i] for i in combo]):
-            return core, list(combo)
-    return None
-
-
-def find_delta_system(
-    H: Iterable[Iterable[int]],
-    r: int,
-    *,
-    exhaustive_limit: int = SUNFLOWER_EXHAUSTIVE_LIMIT,
-) -> SunflowerFamily | None:
+def find_delta_system(H: Iterable[Iterable[int]], r: int) -> SunflowerFamily | None:
     """Find r member sets of H forming a Delta-system (sunflower), or None.
 
     The search tries an exact pairwise-disjoint subfamily first (empty
-    core), then recurses on shared elements.  A None answer is re-verified
-    by exhaustive search when the deduplicated collection has at most
-    ``exhaustive_limit`` sets; above that a None carries a warning instead
-    of a completeness guarantee.
+    core), then recurses on shared elements.  It is exhaustive, so None
+    means that no r distinct sets of H form a sunflower.
     """
     if not isinstance(r, int) or r < 3:
         raise ValueError(f"need an integer r >= 3, got {r!r}")
@@ -222,17 +208,6 @@ def find_delta_system(
     if len(sets) < r:
         return None
     found = _sunflower_search(sets, r)
-    if found is None:
-        if len(sets) <= exhaustive_limit:
-            check = _sunflower_exhaustive(sets, r)
-            if check is not None:  # pragma: no cover - search is exhaustive
-                found = check
-        else:
-            warnings.warn(
-                f"no {r}-sunflower found among {len(sets)} sets; "
-                "collection too large for exhaustive re-verification",
-                stacklevel=2,
-            )
     if found is None:
         return None
     core, idx = found

@@ -28,6 +28,7 @@ def test_profile_artifacts(tmp_path):
     report = read_json(out / "profile.json")
     assert report["config"]["hi"] == 100
     assert "outdir" not in report["config"]
+    assert report["result"]["backend"] == "sparse"
 
 
 def test_sample_writes_set_with_header(tmp_path):
@@ -199,6 +200,38 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert "bogus" in err["error"]["message"]
     assert not (out / "oracle.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("greedy", {"xmax": "100"}), ("greedy", {"h": True}), ("expect", {"decay": 1}), ("expect", {"n": "50"})],
+)
+def test_config_value_of_wrong_type_fails_cleanly(tmp_path, capsys, section, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: key}))
+    out = tmp_path / "x"
+    assert run_cli([section, "--config", str(cfg), "--outdir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "CommandError"
+    assert next(iter(key)) in err["error"]["message"]
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_config_value_types_follow_defaults(tmp_path):
+    # an int may stand in for a float, and a None default takes a string or null
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "oracle": {"mode": "hypothesis-k", "max": 300, "eta": 1},
+                "profile": {"set": None, "hi": 30},
+            }
+        )
+    )
+    out = tmp_path / "x"
+    assert run_cli(["oracle", "--config", str(cfg), "--outdir", str(out)]) == 0
+    assert read_json(out / "oracle.json")["config"]["eta"] == 1
+    assert run_cli(["profile", "--config", str(cfg), "--outdir", str(out)]) == 0
 
 
 def test_error_removes_partial_outputs(tmp_path, capsys):

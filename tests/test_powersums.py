@@ -1,6 +1,7 @@
 """Core counting: enumeration, counts, sweeps, boxes, persistence."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -22,6 +23,7 @@ from powersidon import (
     representation_profile,
     write_power_set,
 )
+from powersidon import powersums
 
 SQ = FullPowers(2)
 CB = FullPowers(3)
@@ -314,6 +316,119 @@ def test_box_refuses_counts_beyond_64_bits():
 def test_profile_memory_budget():
     with pytest.raises(ResourceLimitError, match="split the range"):
         representation_profile((1, 10**6), 2, SQ, memory_budget=10**6)
+
+
+# --- the sparse and dense profile backends ----------------------------------
+
+
+def backend_counts(domain, h, n_lo, n_hi):
+    """(strict, weak) from the sparse and the dense backend, past the dispatch."""
+    values = [r**domain.k for r in powersums._roots_upto(domain, n_hi)]
+    return [powersums._BACKENDS[name](values, h, n_lo, n_hi) for name in ("sparse", "dense")]
+
+
+def assert_backends_agree_with_dfs(domain, h, n_lo, n_hi, targets):
+    (strict, weak), (dense_strict, dense_weak) = backend_counts(domain, h, n_lo, n_hi)
+    for counts in (strict, weak, dense_strict, dense_weak):
+        assert counts.dtype == np.uint64 and counts.shape == (n_hi - n_lo + 1,)
+    assert np.array_equal(strict, dense_strict)
+    assert np.array_equal(weak, dense_weak)
+    for n in targets:
+        assert strict[n - n_lo] == count_representations(n, h, domain, "strict", method="dfs")
+        assert weak[n - n_lo] == count_representations(n, h, domain, "weak", method="dfs")
+
+
+@st.composite
+def profile_cases(draw):
+    k = draw(st.integers(1, 4))
+    h = draw(st.integers(2, 5))
+    # at most 2*10**4 multisets of roots keeps the forced sparse backend small
+    root_cap = max(r for r in range(1, 400) if comb(r + h - 1, h) <= 20_000)
+    n_hi = draw(st.integers(1, min(root_cap**k, 20_000)))
+    n_lo = draw(st.integers(1, n_hi))
+    if draw(st.booleans()):
+        domain = FullPowers(k)
+    else:
+        # may include roots whose power lies beyond n_hi
+        pool = range(1, integer_kth_root(n_hi, k) + 3)
+        domain = PowerSet(sorted(draw(st.sets(st.sampled_from(pool)))), k)
+    targets = draw(st.lists(st.integers(n_lo, n_hi), min_size=1, max_size=5))
+    return domain, h, n_lo, n_hi, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_cases())
+def test_sparse_and_dense_backends_agree(case):
+    assert_backends_agree_with_dfs(*case)
+
+
+def largest_guarded_root_count(h):
+    """Most roots whose C(roots + h - 1, h) the 64-bit width guard admits."""
+    lo, hi = 1, 2
+    while comb(hi + h - 1, h) <= powersums.MAX_VALUE:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if comb(mid + h - 1, h) <= powersums.MAX_VALUE else (lo, mid)
+    return lo
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.integers(8, 20),
+    small=st.integers(1, 3),
+    slack=st.integers(0, 50),
+    data=st.data(),
+)
+def test_backends_agree_with_dfs_at_the_64_bit_guard(h, small, slack, data):
+    # k = 1 with roots 1..small plus enough roots above n_hi / 2 that
+    # C(roots + h - 1, h) is as large as the guard admits; a tuple then holds
+    # at most one large root, so the actual counts stay small
+    large = largest_guarded_root_count(h) - small
+    n_hi = 2 * large + slack
+    domain = PowerSet([*range(1, small + 1), *range(n_hi - large + 1, n_hi + 1)], 1)
+    n_lo = data.draw(st.integers(1, n_hi))
+    targets = data.draw(st.lists(st.integers(n_lo, n_hi), min_size=1, max_size=4))
+    assert_backends_agree_with_dfs(domain, h, n_lo, n_hi, targets)
+    prof = representation_profile((n_lo, n_hi), h, domain)
+    assert prof.weak_count(targets[0]) == count_representations(targets[0], h, domain, "weak", method="dfs")
+    one_more = PowerSet([*range(1, small + 1), *range(n_hi - large, n_hi + 1)], 1)
+    with pytest.raises(WidthOverflowError):
+        representation_profile((n_lo, n_hi), h, one_more)
+
+
+def test_backend_choice_follows_the_cost_model():
+    def choice(domain, h, n_hi, budget=powersums.MEMORY_BUDGET):
+        roots = len(powersums._roots_upto(domain, n_hi))
+        return powersums._choose_backend(roots, h, 1, n_hi, budget)[0]
+
+    # 1000 squares: C(1001, 2) = 500500 tuples against 2 * 1000 * (10**6 + 1) cells
+    assert choice(SQ, 2, 10**6) == "sparse"
+    assert representation_profile((1, 10**6), 2, SQ).backend == "sparse"
+    # 547 squares: C(550, 4) ~ 3.8e9 tuples against 6.6e8 cells
+    assert choice(SQ, 4, 3 * 10**5) == "dense"
+    # 141 squares: C(144, 4) ~ 1.7e7 tuples would fit the budget, but the DP
+    # updates only 4 * 141 * (2 * 10**4 + 1) ~ 1.1e7 cells
+    assert choice(SQ, 4, 2 * 10**4) == "dense"
+    # sparse would do less work but does not fit the budget
+    assert choice(SQ, 2, 10**6, budget=10**6) == "dense"
+
+
+@pytest.mark.parametrize(
+    "n_range, h, domain",
+    [((1, 10**6), 2, SQ), ((10**5, 10**6), 3, CB), ((1, 2 * 10**4), 4, SQ)],
+)
+def test_profile_allocates_within_its_estimate(n_range, h, domain):
+    roots = len(powersums._roots_upto(domain, n_range[1]))
+    backend, need = powersums._choose_backend(roots, h, *n_range, powersums.MEMORY_BUDGET)
+    tracemalloc.start()
+    try:
+        prof = representation_profile(n_range, h, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.backend == backend
+    assert peak <= need + 64 * 1024, (backend, peak, need)
 
 
 def test_powerset_validation():

@@ -22,6 +22,7 @@ from powersidon import (
     sidon_counting_bound,
     verify_bhg,
 )
+from powersidon.structure import SUNFLOWER_EXHAUSTIVE_LIMIT
 
 
 # --- packing -----------------------------------------------------------------
@@ -96,8 +97,20 @@ def test_sunflower_disjoint_family():
     assert len(fam.petals) == 3
 
 
+def sunflower_exhaustive(sets, r):
+    """Oracle: the first r sets, in combination order, forming a sunflower."""
+    sets = [frozenset(s) for s in sets]
+    for combo in itertools.combinations(sets, r):
+        core = combo[0] & combo[1]
+        if is_delta_system(core, combo):
+            return combo
+    return None
+
+
 def test_sunflower_none_cases():
-    assert find_delta_system([{1, 2}, {1, 3}, {2, 3}], 3) is None
+    triangle = [{1, 2}, {1, 3}, {2, 3}]
+    assert sunflower_exhaustive(triangle, 3) is None
+    assert find_delta_system(triangle, 3) is None
     assert find_delta_system([{1, 2}], 3) is None
     with pytest.raises(ValueError):
         find_delta_system([{1, 2}, {3, 4}, {5, 6}], 2)
@@ -112,14 +125,6 @@ def test_sunflower_requires_disjoint_beyond_greedy_choice():
     assert is_delta_system(fam.core, fam.petals)
 
 
-def brute_sunflower(sets, r):
-    for combo in itertools.combinations(sets, r):
-        core = combo[0] & combo[1]
-        if is_delta_system(core, combo):
-            return combo
-    return None
-
-
 def test_sunflower_matches_brute_force_on_random_collections():
     rng = random.Random(20260809)
     for trial in range(300):
@@ -130,13 +135,31 @@ def test_sunflower_matches_brute_force_on_random_collections():
         rng.shuffle(pool)
         sets = pool[:size]
         found = find_delta_system(sets, 3)
-        expected = brute_sunflower(sets, 3)
+        expected = sunflower_exhaustive(sets, 3)
         if expected is None:
             assert found is None, sets
         else:
             assert found is not None, sets
             assert is_delta_system(found.core, found.petals)
             assert all(p in sets for p in found.petals)
+
+
+def test_sunflower_none_agrees_with_oracle_up_to_limit():
+    # r = 4, 5 on up to SUNFLOWER_EXHAUSTIVE_LIMIT sets: about half the
+    # collections have no sunflower, so None answers are checked too
+    rng = random.Random(5)
+    nones = 0
+    for trial in range(150):
+        r = rng.choice((4, 5))
+        universe = range(1, rng.randint(6, 10))
+        pool = [frozenset(c) for c in itertools.combinations(universe, 2)]
+        pool += [frozenset(c) for c in itertools.combinations(universe, 3)]
+        sets = rng.sample(pool, rng.randint(8, SUNFLOWER_EXHAUSTIVE_LIMIT))
+        expected = sunflower_exhaustive(sets, r)
+        found = find_delta_system(sets, r)
+        assert (found is None) == (expected is None), (r, sets)
+        nones += found is None
+    assert 30 <= nones <= 120
 
 
 def test_nine_two_sets_always_contain_three_sunflower():
