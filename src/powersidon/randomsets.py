@@ -7,6 +7,16 @@ independent at the quality of the hash, reproducible, and stable under
 extension of the sampling range.  Exact expectations of the counting
 function A(x) and of representation counts are computed alongside.
 
+Membership is defined by the scalar rule ``_unit_interval(seed, n) <
+membership_probability(model, n)``.  The numpy path in ``_draws`` only
+filters it: numpy's ``power`` may differ from Python's ``float ** float``
+in the last bit (it does for about 4.6% of the first 10**6 squares at
+exponent 0.1), so a root whose draw lies within a relative 2**-40 of the
+numpy probability is decided again by the scalar rule.  Every other root
+lies on the same side of both probabilities.  ``expected_count`` sums the
+scalar rule's own terms ``float(n) ** -theta`` in one ``math.fsum``, so no
+numpy rounding reaches it.
+
 Model kinds, named by the density they target on the k-th powers:
 
 * ``density-k``: alpha_n = n**(-eps); expected A(x) grows like
@@ -21,12 +31,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import UndefinedFitError
-from .powersums import FullPowers, PowerSet, enumerate_representations, integer_kth_root
+from .errors import UndefinedFitError, WidthOverflowError
+from .powersums import (
+    MAX_VALUE,
+    FullPowers,
+    PowerSet,
+    enumerate_representations,
+    integer_kth_root,
+)
 
 DENSITY_K = "density-k"
 DENSITY_H = "density-h"
@@ -47,6 +64,40 @@ def _mix64(z: int) -> int:
 def _unit_interval(seed: int, n: int) -> float:
     """Deterministic uniform draw in [0, 1) for the pair (seed, n)."""
     return (_mix64(_mix64(seed & _M64) ^ _mix64(n & _M64)) >> 11) / float(1 << 53)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` of every entry of a uint64 array, in place; uint64
+    arithmetic wraps modulo 2**64 exactly as the masked ints do."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+# Roots per numpy block: large enough to amortise the per-call overhead,
+# small enough that the temporaries do not raise peak memory.
+_BLOCK = 4096
+# Relative half-width of the band around numpy's probability inside which
+# the scalar rule decides; numpy's and Python's powers differ by an ulp.
+_BAND = 2.0**-40
+
+
+def _top_root(k: int) -> int:
+    """Largest root whose k-th power fits the 64-bit value range."""
+    return integer_kth_root(MAX_VALUE, k)
+
+
+def _power_blocks(k: int, r_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Roots m <= r_max and their powers m**k as uint64 blocks of at most
+    ``_BLOCK`` entries, only as far as m**k fits 64 bits, so nothing wraps."""
+    top = min(r_max, _top_root(k))
+    for lo in range(1, top + 1, _BLOCK):
+        roots = np.arange(lo, min(lo + _BLOCK, top + 1), dtype=np.uint64)
+        yield roots, roots**k
 
 
 @dataclass(frozen=True)
@@ -132,6 +183,73 @@ def membership_probability(model: RandomModel, n: int) -> float:
     return float(n) ** (-model.exponent)
 
 
+def _drawable_blocks(model: RandomModel, x_max: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(roots, values, alpha) blocks of the k-th powers v <= min(x_max,
+    2**64 - 1) with a nonzero probability; alpha is numpy's probability,
+    exact for table models and otherwise a few ulps at most from the scalar
+    rule's (one ulp at most, measured)."""
+    k = model.k
+    if model.kind == TABLE:
+        limit = min(x_max, MAX_VALUE)
+        entries = [(n, a) for n, a in model.table if n <= limit and a > 0.0]
+        for lo in range(0, len(entries), _BLOCK):
+            chunk = entries[lo : lo + _BLOCK]
+            values = np.array([n for n, _ in chunk], dtype=np.uint64)
+            roots = np.array([integer_kth_root(n, k) for n, _ in chunk], dtype=np.uint64)
+            yield roots, values, np.array([a for _, a in chunk])
+    else:
+        for roots, values in _power_blocks(k, integer_kth_root(x_max, k)):
+            yield roots, values, np.power(values.astype(np.float64), -model.exponent)
+
+
+def _check_width(model: RandomModel, x_max: int, seed: int) -> None:
+    """Raise ``WidthOverflowError``, as ``PowerSet`` does, at the first root
+    drawn under the seed whose k-th power exceeds 2**64 - 1."""
+    k = model.k
+    if model.kind == TABLE:
+        wide = (integer_kth_root(n, k) for n, _ in model.table if MAX_VALUE < n <= x_max)
+    else:
+        wide = range(_top_root(k) + 1, integer_kth_root(x_max, k) + 1)
+    for m in wide:
+        if _unit_interval(seed, m**k) < membership_probability(model, m**k):
+            raise WidthOverflowError(f"{m}**{k} exceeds the configured value range")
+
+
+def _draws(
+    model: RandomModel, x_max: int, seeds: Sequence[int]
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Draw the k-th powers <= x_max under every seed in one pass.
+
+    Yields (roots, kept) per block, where kept[i] marks the roots drawn
+    under seeds[i].  Each seed's draw equals the scalar rule's: numpy keeps
+    a root when u < alpha*(1 - 2**-40) and drops it when u >= alpha*(1 +
+    2**-40); the scalar rule decides the roots in between.  The hash of the
+    value, alpha and the band are computed once per block for all seeds.
+    """
+    if not isinstance(x_max, int) or x_max < 1:
+        raise ValueError(f"x_max must be a positive integer, got {x_max!r}")
+    seed_mixes = [np.uint64(_mix64(s & _M64)) for s in seeds]
+    for roots, values, alpha in _drawable_blocks(model, x_max):
+        inner = _mix64_array(values.copy())
+        surely = alpha * (1.0 - _BAND)
+        maybe = np.multiply(alpha, 1.0 + _BAND, out=alpha)
+        z = np.empty_like(inner)
+        u = np.empty(len(inner))
+        kept = []
+        for seed, seed_mix in zip(seeds, seed_mixes):
+            _mix64_array(np.bitwise_xor(inner, seed_mix, out=z))
+            z >>= np.uint64(11)
+            np.multiply(z, 2.0**-53, out=u)  # exact: z < 2**53
+            keep = u < surely
+            for j in np.flatnonzero((u < maybe) & ~keep).tolist():
+                v = int(values[j])
+                keep[j] = _unit_interval(seed, v) < membership_probability(model, v)
+            kept.append(keep)
+        yield roots, kept
+    for seed in seeds:
+        _check_width(model, x_max, seed)
+
+
 def sample_set(model: RandomModel, x_max: int) -> PowerSet:
     """One draw of the random set restricted to values <= x_max.
 
@@ -139,16 +257,20 @@ def sample_set(model: RandomModel, x_max: int) -> PowerSet:
     alpha_n; the decision for n depends only on (seed, n), so repeated or
     extended draws agree wherever they overlap.
     """
-    if not isinstance(x_max, int) or x_max < 1:
-        raise ValueError(f"x_max must be a positive integer, got {x_max!r}")
-    k = model.k
-    roots = []
-    for m in range(1, integer_kth_root(x_max, k) + 1):
-        v = m**k
-        alpha = membership_probability(model, v)
-        if alpha > 0.0 and _unit_interval(model.seed, v) < alpha:
-            roots.append(m)
-    return PowerSet(roots, k)
+    roots: list[int] = []
+    for block, (keep,) in _draws(model, x_max, [model.seed]):
+        roots += block[keep].tolist()
+    return PowerSet(roots, model.k)
+
+
+def sample_counts(model: RandomModel, x_max: int, seeds: Sequence[int]) -> list[int]:
+    """``len(sample_set(replace(model, seed=s), x_max))`` for each seed s,
+    from one pass over the k-th powers shared by all seeds."""
+    counts = [0] * len(seeds)
+    for _, kept in _draws(model, x_max, seeds):
+        for i, keep in enumerate(kept):
+            counts[i] += int(np.count_nonzero(keep))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -166,9 +288,19 @@ def expected_count(model: RandomModel, x: int) -> ExpectedCount:
     if not isinstance(x, int) or x < 1:
         raise ValueError(f"x must be a positive integer, got {x!r}")
     k = model.k
-    exact = math.fsum(
-        membership_probability(model, m**k) for m in range(1, integer_kth_root(x, k) + 1)
-    )
+    if model.kind == TABLE:
+        # alpha is zero off the table, and zeros do not change an fsum
+        terms = (a for n, a in model.table if n <= x)
+    else:
+        # one fsum over the scalar rule's terms float(v) ** -theta; summing
+        # per-block fsums would round twice
+        r_max = integer_kth_root(x, k)
+        values = chain(
+            chain.from_iterable(block.tolist() for _, block in _power_blocks(k, r_max)),
+            (m**k for m in range(_top_root(k) + 1, r_max + 1)),
+        )
+        terms = map(pow, map(float, values), repeat(-model.exponent))
+    exact = math.fsum(terms)
     if model.kind == DENSITY_K:
         closed = x ** (1 / k - model.epsilon) / (1 - k * model.epsilon)
     elif model.kind == DENSITY_H:

@@ -10,11 +10,15 @@ from powersidon import (
     PowerSet,
     RandomModel,
     UndefinedFitError,
+    WidthOverflowError,
     concentration_trial,
     count_up_to,
     fit_density_exponent,
     geometric_grid,
+    integer_kth_root,
+    membership_probability,
 )
+from powersidon.randomsets import _unit_interval
 
 
 def test_count_up_to_examples():
@@ -131,3 +135,76 @@ def test_concentration_argument_errors():
     empty = RandomModel.from_table(2, [(4, 0.0)], seed=0)
     with pytest.raises(ValueError, match="zero expected"):
         concentration_trial(empty, 100, list(range(10)))
+
+
+def reference_counts(model, x, seeds):
+    """A(x) per seed from the scalar loop that defines a draw, with
+    PowerSet's width check."""
+    k = model.k
+    alphas = [membership_probability(model, m**k) for m in range(1, integer_kth_root(x, k) + 1)]
+    counts = []
+    for seed in seeds:
+        roots = [m for m, a in enumerate(alphas, 1) if a > 0.0 and _unit_interval(seed, m**k) < a]
+        counts.append(len(PowerSet(roots, k)))
+    return counts
+
+
+def trial_outcome(count, model, x, seeds):
+    try:
+        return count(model, x, seeds)
+    except WidthOverflowError as exc:
+        return f"WidthOverflowError: {exc}"
+
+
+def trial_counts(model, x, seeds):
+    return [row.count for row in concentration_trial(model, x, seeds).rows]
+
+
+@st.composite
+def trial_models(draw):
+    k = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["density-k", "density-h", "table"]))
+    if kind == "density-k":
+        eps = draw(st.floats(0.0, 1 / k, exclude_min=True, exclude_max=True))
+        return RandomModel.density_k(k, eps, 0)
+    if kind == "density-h":
+        h = draw(st.integers(k + 1, k + 4))
+        eps = draw(st.floats(0.0, 1 / h, exclude_min=True, exclude_max=True))
+        return RandomModel.density_h(k, h, eps, 0)
+    roots = sorted({1} | draw(st.sets(st.integers(2, 8200), max_size=40)))
+    # a positive alpha at 1 keeps the expected count above zero for every x
+    others = st.lists(st.floats(0.0, 1.0), min_size=len(roots) - 1, max_size=len(roots) - 1)
+    alphas = [draw(st.floats(0.01, 1.0))] + draw(others)
+    return RandomModel.from_table(k, [(r**k, a) for r, a in zip(roots, alphas)], 0)
+
+
+@given(
+    model=trial_models(),
+    r=st.one_of(st.sampled_from([2, 4095, 4096, 4097, 7131, 7132, 8193]), st.integers(2, 8200)),
+    dx=st.integers(-1, 1),
+    seeds=st.lists(
+        st.one_of(
+            st.sampled_from([0, -1, 2**64 - 1, 2**64, 2**64 + 3, -(2**65)]),
+            st.integers(-(2**70), 2**70),
+        ),
+        min_size=10,
+        max_size=12,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_concentration_counts_match_scalar_rule(model, r, dx, seeds):
+    x = max(2, r**model.k + dx)
+    assert trial_outcome(trial_counts, model, x, seeds) == trial_outcome(reference_counts, model, x, seeds)
+
+
+def test_concentration_counts_across_and_beyond_64_bits():
+    seeds = list(range(-5, 7))
+    for model in (RandomModel.density_k(5, 0.15, 0), RandomModel.density_h(5, 6, 0.01, 0)):
+        assert trial_counts(model, 2**63, seeds) == reference_counts(model, 2**63, seeds)
+    # 7132**5 > 2**64 - 1 and alpha is about 0.64 there: some seed keeps it
+    wide = RandomModel.density_k(5, 0.01, 0)
+    assert trial_counts(wide, 2**64 - 1, seeds) == reference_counts(wide, 2**64 - 1, seeds)
+    with pytest.raises(WidthOverflowError, match=r"\*\*5 exceeds"):
+        reference_counts(wide, 7132**5, seeds)
+    with pytest.raises(WidthOverflowError, match=r"\*\*5 exceeds"):
+        concentration_trial(wide, 7132**5, seeds)
